@@ -1,6 +1,7 @@
 #include "chaos/campaign.hpp"
 
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "chaos/clock.hpp"
@@ -259,6 +260,19 @@ CallRecord execute_call(const FaultyWire& wire,
   }
 }
 
+/// Accumulates one chain's (or one slice's) counters into `into`.
+void add_delta(ChainDelta& into, const ChainDelta& delta) {
+  for (std::size_t outcome = 0; outcome < kChaosOutcomeCount; ++outcome) {
+    into.outcomes[outcome] += delta.outcomes[outcome];
+  }
+  into.retransmits += delta.retransmits;
+  into.faulted_attempts += delta.faulted_attempts;
+  into.challenged += delta.challenged;
+  into.challenged_ok += delta.challenged_ok;
+  into.breaker_trips += delta.breaker_trips;
+  into.virtual_ms += delta.virtual_ms;
+}
+
 }  // namespace
 
 ChainDelta run_chaos_chain(const FaultyWire& wire,
@@ -376,100 +390,80 @@ ChaosResult run_chaos_study(const ChaosConfig& config) {
       server_result.cells.push_back(std::move(cell));
     }
 
-    // One chaos round per server: every client chain against its services.
+    // One chaos round per server. Every candidate type runs the whole chain
+    // inside its slice: deploy, the shared parse (faults are injected on
+    // the wire, not on the WSDL bytes, so one parse serves every call),
+    // then every client chain against it — each chain sequential with its
+    // own virtual clock and breaker, so the result is independent of the
+    // slicing. Slices are fine-grained because refusals cluster by
+    // catalog position.
     obs::Span round_span(config.tracer, "round:" + server_result.server, run_span);
-    obs::Span deploy_span(config.tracer, "phase:deploy", round_span);
-    obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "chaos.phase.deploy_us");
-    std::vector<frameworks::DeployedService> deployed;
-    for (const catalog::TypeInfo& type : catalog.types()) {
-      Result<frameworks::DeployedService> service =
-          server->deploy(frameworks::ServiceSpec{&type});
-      if (service.ok()) deployed.push_back(std::move(service.value()));
-    }
-    server_result.services_deployed = deployed.size();
-    obs::add(config.metrics, "chaos.services_deployed", deployed.size());
-    deploy_span.annotate("deployed", deployed.size());
-    deploy_span.end();
-    deploy_timer.stop();
-
-    // Parse-once: a shared description per service feeds every client
-    // chain's generation gate below (faults are injected on the wire, not
-    // on the WSDL bytes, so the parse is invariant across calls).
-    std::vector<frameworks::SharedDescription> descriptions;
-    if (config.parse_cache) {
-      obs::Span parse_span(config.tracer, "phase:parse", round_span);
-      obs::ScopedTimer parse_timer = obs::timer(config.metrics, "chaos.phase.parse_us");
-      const auto build_slice = [&](std::size_t begin, std::size_t end) {
-        std::vector<frameworks::SharedDescription> built;
-        built.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          built.push_back(
-              frameworks::SharedDescription::from_deployed(deployed[i], /*with_wsi=*/false));
-        }
-        return built;
-      };
-      descriptions.reserve(deployed.size());
-      for (std::vector<frameworks::SharedDescription>& slice :
-           parallel_slices(deployed.size(), config.jobs, build_slice)) {
-        for (frameworks::SharedDescription& description : slice) {
-          descriptions.push_back(std::move(description));
-        }
-      }
-      obs::add(config.metrics, "chaos.parse.wsdl_parses", descriptions.size());
-      parse_span.end();
-      parse_timer.stop();
-    }
-
-    // Invocations parallelize over services; every chain (one client against
-    // one endpoint) runs sequentially inside its slice with its own virtual
-    // clock and breaker, so the result is independent of the slicing.
     obs::Span calls_span(config.tracer, "phase:calls", round_span);
     obs::ScopedTimer calls_timer = obs::timer(config.metrics, "chaos.phase.calls_us");
+    const std::vector<catalog::TypeInfo>& types = catalog.types();
+    struct Partial {
+      std::size_t deployed = 0;
+      std::vector<ChainDelta> cells;
+    };
     const auto run_slice = [&](std::size_t begin, std::size_t end) {
-      std::vector<ChainDelta> partial(clients.size());
+      Partial partial;
+      partial.cells.resize(clients.size());
       for (std::size_t index = begin; index < end; ++index) {
+        obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "chaos.step.deploy_us");
+        Result<frameworks::DeployedService> deployment =
+            server->deploy(frameworks::ServiceSpec{&types[index]});
+        deploy_timer.stop();
+        if (!deployment.ok()) continue;
+        ++partial.deployed;
+        // With the cache off the step builds nothing (each chain re-parses),
+        // but it is still timed once per service so counts match.
+        obs::ScopedTimer describe_timer = obs::timer(config.metrics, "chaos.step.describe_us");
+        std::optional<frameworks::SharedDescription> description;
+        if (config.parse_cache) {
+          description.emplace(frameworks::SharedDescription::from_deployed(deployment.value(),
+                                                                           /*with_wsi=*/false));
+        }
+        describe_timer.stop();
         for (std::size_t i = 0; i < clients.size(); ++i) {
-          const ChainDelta delta = run_chaos_chain(
-              wire, *server, deployed[index],
-              config.parse_cache ? &descriptions[index] : nullptr, *clients[i],
-              client_compilers[i].get(), policies[i], config, profiles[i], round.label);
-          ChainDelta& cell = partial[i];
-          for (std::size_t outcome = 0; outcome < kChaosOutcomeCount; ++outcome) {
-            cell.outcomes[outcome] += delta.outcomes[outcome];
-          }
-          cell.retransmits += delta.retransmits;
-          cell.faulted_attempts += delta.faulted_attempts;
-          cell.challenged += delta.challenged;
-          cell.challenged_ok += delta.challenged_ok;
-          cell.breaker_trips += delta.breaker_trips;
-          cell.virtual_ms += delta.virtual_ms;
+          add_delta(partial.cells[i],
+                    run_chaos_chain(wire, *server, deployment.value(),
+                                    description ? &*description : nullptr, *clients[i],
+                                    client_compilers[i].get(), policies[i], config, profiles[i],
+                                    round.label));
         }
       }
       return partial;
     };
     PoolStats pool_stats;
-    const std::vector<std::vector<ChainDelta>> partials =
-        parallel_slices(deployed.size(), config.jobs, run_slice, &pool_stats);
+    const std::vector<Partial> partials =
+        parallel_slices(types.size(), config.jobs, run_slice, &pool_stats, kBalancedGrain);
     if (config.metrics != nullptr) {
       config.metrics->gauge("chaos.pool.workers").set_max(
           static_cast<std::int64_t>(pool_stats.workers));
       config.metrics->gauge("chaos.pool.max_queue_depth").set_max(
           static_cast<std::int64_t>(pool_stats.max_queue_depth));
     }
-    for (const std::vector<ChainDelta>& partial : partials) {
-      for (std::size_t i = 0; i < clients.size(); ++i) {
-        ChaosCell& cell = server_result.cells[i];
-        for (std::size_t outcome = 0; outcome < kChaosOutcomeCount; ++outcome) {
-          cell.outcomes[outcome] += partial[i].outcomes[outcome];
-        }
-        cell.retransmits += partial[i].retransmits;
-        cell.faulted_attempts += partial[i].faulted_attempts;
-        cell.challenged += partial[i].challenged;
-        cell.challenged_ok += partial[i].challenged_ok;
-        cell.breaker_trips += partial[i].breaker_trips;
-        cell.virtual_ms += partial[i].virtual_ms;
-      }
+    std::vector<ChainDelta> cells(clients.size());
+    for (const Partial& partial : partials) {
+      server_result.services_deployed += partial.deployed;
+      for (std::size_t i = 0; i < clients.size(); ++i) add_delta(cells[i], partial.cells[i]);
     }
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      ChaosCell& cell = server_result.cells[i];
+      cell.outcomes = cells[i].outcomes;
+      cell.retransmits = cells[i].retransmits;
+      cell.faulted_attempts = cells[i].faulted_attempts;
+      cell.challenged = cells[i].challenged;
+      cell.challenged_ok = cells[i].challenged_ok;
+      cell.breaker_trips = cells[i].breaker_trips;
+      cell.virtual_ms = cells[i].virtual_ms;
+    }
+    obs::add(config.metrics, "chaos.services_deployed", server_result.services_deployed);
+    if (config.parse_cache) {
+      obs::add(config.metrics, "chaos.parse.wsdl_parses", server_result.services_deployed);
+    }
+    calls_span.annotate("deployed", server_result.services_deployed);
+    calls_span.annotate("refused", types.size() - server_result.services_deployed);
     for (const ChaosCell& cell : server_result.cells) {
       obs::add(config.metrics, "chaos.breaker_trips", cell.breaker_trips);
       obs::add(config.metrics, "chaos.challenged", cell.challenged);

@@ -12,6 +12,7 @@
 // output independent of the worker count.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -42,6 +43,10 @@ inline std::size_t resolve_workers(std::size_t requested) {
 /// True when `requested` is an acceptable --jobs/threads value: 0 (auto)
 /// or an explicit count no larger than kMaxWorkers.
 inline bool valid_worker_count(std::size_t requested) { return requested <= kMaxWorkers; }
+
+/// A parallel_slices grain for workloads whose per-item cost is uneven and
+/// clusters by position: about this many ordered slices per worker.
+inline constexpr std::size_t kBalancedGrain = 16;
 
 /// What one pool run observed; feeds the obs metric registry.
 struct PoolStats {
@@ -182,22 +187,32 @@ class WorkerPool {
   PoolStats stats_;
 };
 
-/// Runs `slice_fn(begin, end)` over [0, count) in contiguous slices — one
-/// per worker, the partition every campaign previously computed by hand —
-/// and returns the slice results *in slice order*, so merges are
+/// Runs `slice_fn(begin, end)` over [0, count) in contiguous slices — by
+/// default one per worker, the partition every campaign previously computed
+/// by hand — and returns the slice results *in slice order*, so merges are
 /// deterministic for any worker count. The first exception a slice threw
 /// is rethrown after all slices finish. `stats_out`, when non-null,
 /// receives the pool's instrumentation.
+///
+/// `slices_per_worker` is the grain: how many ordered slices each worker
+/// gets on average. Workloads whose per-item cost clusters by position
+/// (the study's deploy refusals do) balance badly with one contiguous
+/// slice per worker; a finer grain lets the FIFO pool hand the next slice
+/// to whichever worker is free, while the results still arrive in slice
+/// order.
 template <typename F>
 auto parallel_slices(std::size_t count, std::size_t requested_workers, F&& slice_fn,
-                     PoolStats* stats_out = nullptr)
+                     PoolStats* stats_out = nullptr, std::size_t slices_per_worker = 1)
     -> std::vector<std::invoke_result_t<F&, std::size_t, std::size_t>> {
   using R = std::invoke_result_t<F&, std::size_t, std::size_t>;
   static_assert(!std::is_void_v<R>,
                 "parallel_slices expects slice_fn to return its partial result");
   const std::size_t workers = std::min(resolve_workers(requested_workers),
                                        count == 0 ? std::size_t{1} : count);
-  const std::size_t chunk = count == 0 ? 1 : (count + workers - 1) / workers;
+  const std::size_t slices =
+      std::min(workers * std::max<std::size_t>(1, slices_per_worker),
+               count == 0 ? std::size_t{1} : count);
+  const std::size_t chunk = count == 0 ? 1 : (count + slices - 1) / slices;
 
   std::vector<std::size_t> begins;
   for (std::size_t begin = 0; begin < count; begin += chunk) begins.push_back(begin);

@@ -14,34 +14,115 @@
 namespace wsx::interop {
 namespace {
 
-/// Moves the error/crash diagnostics out of `sink` into `errors`. Clean
-/// sinks — the overwhelmingly common case — skip the scan entirely, and
-/// failing ones reserve once and move instead of copying string payloads.
-void take_errors(DiagnosticSink& sink, std::vector<Diagnostic>& errors) {
+/// Records `sink`'s error/crash diagnostics into `row`: each distinct code
+/// once, in first-seen order, and the first error as the test's sample.
+/// Clean sinks — the overwhelmingly common case — skip the scan entirely.
+void take_errors(DiagnosticSink& sink, TestRow& row) {
   if (!sink.has_errors()) return;
-  std::size_t count = 0;
-  for (const Diagnostic& diagnostic : sink.diagnostics()) {
-    if (diagnostic.severity == Severity::kError || diagnostic.severity == Severity::kCrash) {
-      ++count;
-    }
-  }
-  errors.reserve(errors.size() + count);
   for (Diagnostic& diagnostic : sink.diagnostics()) {
-    if (diagnostic.severity == Severity::kError || diagnostic.severity == Severity::kCrash) {
-      errors.push_back(std::move(diagnostic));
+    if (diagnostic.severity != Severity::kError && diagnostic.severity != Severity::kCrash) {
+      continue;
+    }
+    if (std::find(row.codes.begin(), row.codes.end(), diagnostic.code) == row.codes.end()) {
+      row.codes.push_back(diagnostic.code);
+    }
+    if (!row.first.has_value()) row.first = std::move(diagnostic);
+  }
+}
+
+/// What one worker folds over its slice of candidates: the server's
+/// counters and cells, plus the slice's share of the study-wide totals.
+struct Partial {
+  ServerResult server;
+  StudyResult totals;
+};
+
+void merge_cells(std::vector<CellResult>& into, const std::vector<CellResult>& part,
+                 std::size_t samples_per_cell) {
+  for (std::size_t i = 0; i < into.size(); ++i) {
+    CellResult& cell = into[i];
+    cell.tests += part[i].tests;
+    cell.generation += part[i].generation;
+    cell.compilation += part[i].compilation;
+    for (const Diagnostic& sample : part[i].samples) {
+      if (cell.samples.size() < samples_per_cell) cell.samples.push_back(sample);
+    }
+    for (const auto& [error_code, count] : part[i].error_codes) {
+      cell.error_codes[error_code] += count;
     }
   }
 }
 
-/// Partial aggregation produced by one worker over a slice of services.
-struct Partial {
-  std::vector<CellResult> cells;
-  std::size_t same_framework_failures = 0;
-  std::size_t same_platform_failures = 0;
-  std::size_t flagged_with_downstream_error = 0;
-  std::size_t generation_errors_on_flagged = 0;
-  std::size_t generation_errors_on_compliant = 0;
-};
+/// Adds a slice's server counters and cells to the running fold.
+void merge_server(const ServerResult& part, std::size_t samples_per_cell, ServerResult& server) {
+  server.services_deployed += part.services_deployed;
+  server.deployment_refusals += part.deployment_refusals;
+  server.description_warnings += part.description_warnings;
+  server.wsi_failures += part.wsi_failures;
+  server.zero_operation_services += part.zero_operation_services;
+  server.gate_rejections += part.gate_rejections;
+  merge_cells(server.cells, part.cells, samples_per_cell);
+}
+
+/// Adds a slice's share of the study-wide totals.
+void merge_totals(const StudyResult& part, StudyResult& totals) {
+  totals.same_framework_failures += part.same_framework_failures;
+  totals.same_platform_failures += part.same_platform_failures;
+  totals.flagged_services += part.flagged_services;
+  totals.flagged_services_with_downstream_error += part.flagged_services_with_downstream_error;
+  totals.generation_errors_on_flagged += part.generation_errors_on_flagged;
+  totals.generation_errors_on_compliant += part.generation_errors_on_compliant;
+}
+
+/// Steps (b)+(c) for one (service, client) pair: artifact generation, then
+/// compilation or the instantiation check. `description` is the service's
+/// shared parse (null = re-parse the served text, the --no-parse-cache
+/// path); `compiler` is null for dynamic clients.
+TestRow run_client_test(const frameworks::DeployedService& service,
+                        const frameworks::SharedDescription* description,
+                        const frameworks::ClientFramework& client,
+                        const compilers::Compiler* compiler, obs::Registry* metrics) {
+  TestRow row;
+
+  // Step (b): client artifact generation — against the campaign's shared
+  // parse when the cache is on, or re-parsing the served text when off.
+  obs::ScopedTimer generation_timer = obs::timer(metrics, "study.step.generation_us");
+  frameworks::GenerationResult generation = description != nullptr
+                                                ? client.generate(*description)
+                                                : client.generate(service.wsdl_text);
+  generation_timer.stop();
+  if (description != nullptr) {
+    obs::add(metrics, "study.parse.cache_hits");
+  } else {
+    obs::add(metrics, "study.parse.wsdl_parses");
+  }
+  row.generation_warning = generation.diagnostics.has_warnings();
+  row.generation_error = generation.diagnostics.has_errors();
+  take_errors(generation.diagnostics, row);
+  // Erratic tools may leave partial artifacts behind even after reporting
+  // an error (§III.B.c); when they do, the artifacts proceed to step (c).
+  if (!generation.produced_artifacts()) return row;
+  row.artifacts_generated = true;
+
+  // Step (c): compilation — or, for dynamic clients, the instantiation
+  // check, whose outcome the study reports under the generation step
+  // (Table II footnote 3: these clients have no compilation column).
+  if (compiler == nullptr) {
+    DiagnosticSink instantiation = compilers::check_instantiation(*generation.artifacts);
+    row.generation_warning |= instantiation.has_warnings();
+    row.generation_error |= instantiation.has_errors();
+    take_errors(instantiation, row);
+    return row;
+  }
+
+  obs::ScopedTimer compilation_timer = obs::timer(metrics, "study.step.compilation_us");
+  DiagnosticSink compile_diagnostics = compiler->compile(*generation.artifacts);
+  compilation_timer.stop();
+  row.compilation_warning = compile_diagnostics.has_warnings();
+  row.compilation_error = compile_diagnostics.has_errors();
+  take_errors(compile_diagnostics, row);
+  return row;
+}
 
 }  // namespace
 
@@ -58,53 +139,6 @@ bool same_platform_pair(const std::string& server, const std::string& client) {
   // The strict reading behind the paper's 307: client and server running on
   // the very same installed platform (.NET hosts all three languages).
   return starts_with(server, "WCF") && starts_with(client, ".NET");
-}
-
-ClientTestOutcome run_client_test(const frameworks::DeployedService& service,
-                                  const frameworks::SharedDescription* description,
-                                  const frameworks::ClientFramework& client,
-                                  const compilers::Compiler* compiler,
-                                  obs::Registry* metrics) {
-  ClientTestOutcome outcome;
-
-  // Step (b): client artifact generation — against the campaign's shared
-  // parse when the cache is on, or re-parsing the served text when off.
-  obs::ScopedTimer generation_timer = obs::timer(metrics, "study.step.generation_us");
-  frameworks::GenerationResult generation = description != nullptr
-                                                ? client.generate(*description)
-                                                : client.generate(service.wsdl_text);
-  generation_timer.stop();
-  if (description != nullptr) {
-    obs::add(metrics, "study.parse.cache_hits");
-  } else {
-    obs::add(metrics, "study.parse.wsdl_parses");
-  }
-  outcome.generation_warning = generation.diagnostics.has_warnings();
-  outcome.generation_error = generation.diagnostics.has_errors();
-  take_errors(generation.diagnostics, outcome.errors);
-  // Erratic tools may leave partial artifacts behind even after reporting
-  // an error (§III.B.c); when they do, the artifacts proceed to step (c).
-  if (!generation.produced_artifacts()) return outcome;
-  outcome.artifacts_generated = true;
-
-  // Step (c): compilation — or, for dynamic clients, the instantiation
-  // check, whose outcome the study reports under the generation step
-  // (Table II footnote 3: these clients have no compilation column).
-  if (compiler == nullptr) {
-    DiagnosticSink instantiation = compilers::check_instantiation(*generation.artifacts);
-    outcome.generation_warning |= instantiation.has_warnings();
-    outcome.generation_error |= instantiation.has_errors();
-    take_errors(instantiation, outcome.errors);
-    return outcome;
-  }
-
-  obs::ScopedTimer compilation_timer = obs::timer(metrics, "study.step.compilation_us");
-  DiagnosticSink compile_diagnostics = compiler->compile(*generation.artifacts);
-  compilation_timer.stop();
-  outcome.compilation_warning = compile_diagnostics.has_warnings();
-  outcome.compilation_error = compile_diagnostics.has_errors();
-  take_errors(compile_diagnostics, outcome.errors);
-  return outcome;
 }
 
 std::string to_json_line(const TestRecord& record) {
@@ -175,111 +209,145 @@ std::size_t StudyResult::total_interop_errors() const {
   return total_generation().errors + total_compilation().errors;
 }
 
-PreparedServer prepare_server_campaign(const frameworks::ServerFramework& server,
-                                       const std::vector<frameworks::ServiceSpec>& services,
-                                       const StudyConfig& config, obs::SpanId parent_span) {
-  PreparedServer prepared;
-  ServerResult& result = prepared.result;
-  result.server = server.name();
-  result.application_server = server.application_server();
-  result.services_created = services.size();
+ServiceRun run_service(const frameworks::ServerFramework& server,
+                       const frameworks::ServiceSpec& spec,
+                       const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
+                       const std::vector<std::unique_ptr<compilers::Compiler>>& compilers,
+                       const StudyConfig& config, const std::function<void()>& after_test) {
+  ServiceRun run;
 
-  // --- Testing-phase step (a): description generation at deployment. ---
-  obs::Span deploy_span(config.tracer, "phase:deploy", parent_span);
-  obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "study.phase.deploy_us");
-  std::vector<frameworks::DeployedService>& deployed = prepared.deployed;
-  std::vector<bool>& flagged = prepared.flagged;  // failed WS-I or unusable
-  deployed.reserve(services.size());
-  for (const frameworks::ServiceSpec& spec : services) {
-    Result<frameworks::DeployedService> deployment = server.deploy(spec);
-    if (!deployment.ok()) {
-      ++result.deployment_refusals;
-      continue;
-    }
-    deployed.push_back(std::move(deployment.value()));
-  }
-  result.services_deployed = deployed.size();
-  obs::add(config.metrics, "study.services_created", services.size());
-  obs::add(config.metrics, "study.services_deployed", deployed.size());
-  obs::add(config.metrics, "study.deployment_refusals", result.deployment_refusals);
-  deploy_span.annotate("deployed", result.services_deployed);
-  deploy_span.annotate("refused", result.deployment_refusals);
-  deploy_span.end();
+  // Step (a): description generation at deployment.
+  obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "study.step.deploy_us");
+  Result<frameworks::DeployedService> deployment = server.deploy(spec);
   deploy_timer.stop();
+  if (!deployment.ok()) {
+    run.flags.refused = true;
+    return run;
+  }
+  const frameworks::DeployedService& service = deployment.value();
 
-  // Parse-once phase: one SharedDescription per deployed service, built in
-  // parallel. The descriptions carry the client-view parse, the marshalling
-  // feature vector, and the WS-I verdict consumed by the phase below and by
-  // every client in the testing phase.
-  std::vector<frameworks::SharedDescription>& descriptions = prepared.descriptions;
+  // The shared parse carries the client-view model and the WS-I verdict
+  // (§III.B.d) every client below consumes; with the cache off, clients
+  // re-parse the served text and only the WS-I check runs here.
+  obs::ScopedTimer describe_timer = obs::timer(config.metrics, "study.step.describe_us");
+  std::optional<frameworks::SharedDescription> description;
   if (config.parse_cache) {
-    obs::Span parse_span(config.tracer, "phase:parse", parent_span);
-    obs::ScopedTimer parse_timer = obs::timer(config.metrics, "study.phase.parse_us");
-    const auto build_slice = [&](std::size_t begin, std::size_t end) {
-      std::vector<frameworks::SharedDescription> built;
-      built.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        built.push_back(frameworks::SharedDescription::from_deployed(deployed[i]));
-      }
-      return built;
-    };
-    descriptions.reserve(deployed.size());
-    for (std::vector<frameworks::SharedDescription>& slice :
-         parallel_slices(deployed.size(), config.threads, build_slice)) {
-      for (frameworks::SharedDescription& description : slice) {
-        descriptions.push_back(std::move(description));
-      }
-    }
-    obs::add(config.metrics, "study.parse.wsdl_parses", descriptions.size());
-    parse_span.annotate("descriptions", descriptions.size());
-    parse_span.end();
-    parse_timer.stop();
+    description.emplace(frameworks::SharedDescription::from_deployed(service));
+    run.flags.wsi_failure = !description->wsi_report()->compliant();
+  } else {
+    run.flags.wsi_failure = !wsi::check(service.wsdl).compliant();
   }
-
-  // WS-I Basic Profile check of every published description (§III.B.d).
-  // With the parse cache on, the verdicts were computed alongside the
-  // shared parse above and are only tallied here.
-  obs::Span wsi_span(config.tracer, "phase:wsi-check", parent_span);
-  obs::ScopedTimer wsi_timer = obs::timer(config.metrics, "study.phase.wsi_check_us");
-  flagged.resize(deployed.size(), false);
-  for (std::size_t i = 0; i < deployed.size(); ++i) {
-    const auto tally = [&](const wsi::ComplianceReport& report) {
-      const bool zero_ops = deployed[i].wsdl.operation_count() == 0;
-      if (!report.compliant()) ++result.wsi_failures;
-      if (zero_ops) ++result.zero_operation_services;
-      flagged[i] = !report.compliant() || zero_ops;
-      if (flagged[i]) ++result.description_warnings;
-    };
-    if (config.parse_cache) {
-      tally(*descriptions[i].wsi_report());
-    } else {
-      tally(wsi::check(deployed[i].wsdl));
-    }
-  }
-  obs::add(config.metrics, "study.description_flags", result.description_warnings);
-  wsi_span.annotate("flagged", result.description_warnings);
-  wsi_span.end();
-  wsi_timer.stop();
+  describe_timer.stop();
+  run.flags.zero_operations = service.wsdl.operation_count() == 0;
 
   // Ablation: the deploy-time WS-I gate withdraws flagged descriptions
   // before any client consumes them.
-  if (config.wsi_deploy_gate) {
-    std::vector<frameworks::DeployedService> kept;
-    std::vector<frameworks::SharedDescription> kept_descriptions;
-    for (std::size_t i = 0; i < deployed.size(); ++i) {
-      if (flagged[i]) {
-        ++result.gate_rejections;
+  if (config.wsi_deploy_gate && run.flags.flagged()) {
+    run.flags.gated = true;
+    return run;
+  }
+
+  // Steps (b)+(c) for every client.
+  run.rows.reserve(clients.size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    run.rows.push_back(run_client_test(service, description ? &*description : nullptr,
+                                       *clients[i], compilers[i].get(), config.metrics));
+    if (after_test) after_test();
+  }
+  return run;
+}
+
+ServerResult empty_server_result(
+    const frameworks::ServerFramework& server, std::size_t services_created,
+    const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients) {
+  ServerResult result;
+  result.server = server.name();
+  result.application_server = server.application_server();
+  result.services_created = services_created;
+  result.cells.resize(clients.size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    result.cells[i].client = clients[i]->name();
+    result.cells[i].client_language = clients[i]->language();
+    result.cells[i].compiled = clients[i]->requires_compilation();
+  }
+  return result;
+}
+
+void fold_service(const frameworks::ServiceSpec& spec, const ServiceRun& run,
+                  const StudyConfig& config, ServerResult& server, StudyResult& totals) {
+  const ServiceFlags& flags = run.flags;
+  if (flags.refused) {
+    ++server.deployment_refusals;
+    return;
+  }
+  if (flags.wsi_failure) ++server.wsi_failures;
+  if (flags.zero_operations) ++server.zero_operation_services;
+  const bool flagged = flags.flagged();
+  if (flagged) {
+    ++server.description_warnings;
+    ++totals.flagged_services;
+  }
+  if (flags.gated) {
+    ++server.gate_rejections;
+    return;
+  }
+  ++server.services_deployed;
+
+  bool service_errored = false;
+  for (std::size_t i = 0; i < run.rows.size(); ++i) {
+    const TestRow& row = run.rows[i];
+    CellResult& cell = server.cells[i];
+    const std::string& client = cell.client;
+    ++cell.tests;
+    obs::add(config.metrics, "study.tests_total");
+    if (row.artifacts_generated) obs::add(config.metrics, "study.artifacts_generated");
+    if (row.generation_warning) ++cell.generation.warnings;
+    if (row.generation_error) ++cell.generation.errors;
+    if (row.compilation_warning) ++cell.compilation.warnings;
+    if (row.compilation_error) ++cell.compilation.errors;
+    if (row.generation_error) obs::add(config.metrics, "study.generation_errors");
+    if (row.compilation_error) obs::add(config.metrics, "study.compilation_errors");
+    if (row.first.has_value() && cell.samples.size() < config.samples_per_cell) {
+      cell.samples.push_back(*row.first);
+    }
+    for (const std::string& code : row.codes) ++cell.error_codes[code];
+    if (config.observer) {
+      TestRecord record;
+      record.server = server.server;
+      record.client = client;
+      record.service = spec.service_name();
+      record.type_name = spec.type != nullptr ? spec.type->qualified_name() : "";
+      record.description_flagged = flagged;
+      record.generation_warning = row.generation_warning;
+      record.generation_error = row.generation_error;
+      record.compilation_warning = row.compilation_warning;
+      record.compilation_error = row.compilation_error;
+      config.observer(record);
+    }
+    if (row.generation_error || row.compilation_error) {
+      service_errored = true;
+      if (same_framework_pair(server.server, client)) ++totals.same_framework_failures;
+      if (same_platform_pair(server.server, client)) ++totals.same_platform_failures;
+    }
+    if (row.generation_error) {
+      if (flagged) {
+        ++totals.generation_errors_on_flagged;
       } else {
-        kept.push_back(std::move(deployed[i]));
-        if (config.parse_cache) kept_descriptions.push_back(std::move(descriptions[i]));
+        ++totals.generation_errors_on_compliant;
       }
     }
-    deployed = std::move(kept);
-    descriptions = std::move(kept_descriptions);
-    flagged.assign(deployed.size(), false);
-    result.services_deployed = deployed.size();
   }
-  return prepared;
+  if (flagged && service_errored) ++totals.flagged_services_with_downstream_error;
+}
+
+void record_server_counters(const ServerResult& server, const StudyConfig& config) {
+  // Deployed before the gate: every description that was built.
+  const std::size_t deployed = server.services_deployed + server.gate_rejections;
+  obs::add(config.metrics, "study.services_created", server.services_created);
+  obs::add(config.metrics, "study.services_deployed", deployed);
+  obs::add(config.metrics, "study.deployment_refusals", server.deployment_refusals);
+  obs::add(config.metrics, "study.description_flags", server.description_warnings);
+  if (config.parse_cache) obs::add(config.metrics, "study.parse.wsdl_parses", deployed);
 }
 
 ServerResult run_server_campaign(
@@ -288,14 +356,6 @@ ServerResult run_server_campaign(
     const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
     const StudyConfig& config, StudyResult* cross_totals, obs::SpanId parent_span) {
   obs::Span server_span(config.tracer, "server:" + server.name(), parent_span);
-  PreparedServer prepared =
-      prepare_server_campaign(server, services, config, server_span.id());
-  ServerResult result = std::move(prepared.result);
-  const std::vector<frameworks::DeployedService>& deployed = prepared.deployed;
-  const std::vector<frameworks::SharedDescription>& descriptions = prepared.descriptions;
-  const std::vector<bool>& flagged = prepared.flagged;
-
-  // --- Steps (b)+(c)+(d) for every client, parallel over services. ---
   std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
   for (const auto& client : clients) {
     client_compilers.push_back(compilers::make_compiler(client->language()));
@@ -304,84 +364,36 @@ ServerResult run_server_campaign(
   obs::Span testing_span(config.tracer, "phase:testing", server_span);
   obs::ScopedTimer testing_timer = obs::timer(config.metrics, "study.phase.testing_us");
 
+  // Workers fold in parallel, so the observer is serialised here.
+  StudyConfig slice_config = config;
   std::mutex observer_mutex;
+  if (config.observer) {
+    slice_config.observer = [&](const TestRecord& record) {
+      const std::lock_guard<std::mutex> lock(observer_mutex);
+      config.observer(record);
+    };
+  }
+
+  // Every candidate runs the whole chain inside its slice, so each
+  // service's WSDL, model and description are freed before the next one
+  // is built. Slices are fine-grained because refusals — the cheap
+  // candidates — cluster by catalog position.
   const auto run_slice = [&](std::size_t begin, std::size_t end) {
     Partial partial;
-    partial.cells.resize(clients.size());
-    for (std::size_t service_index = begin; service_index < end; ++service_index) {
-      const frameworks::DeployedService& service = deployed[service_index];
-      bool service_errored = false;
-      for (std::size_t client_index = 0; client_index < clients.size(); ++client_index) {
-        const frameworks::ClientFramework& client = *clients[client_index];
-        CellResult& cell = partial.cells[client_index];
-        const ClientTestOutcome outcome = run_client_test(
-            service, config.parse_cache ? &descriptions[service_index] : nullptr, client,
-            client_compilers[client_index].get(), config.metrics);
-        ++cell.tests;
-        obs::add(config.metrics, "study.tests_total");
-        if (outcome.artifacts_generated) {
-          obs::add(config.metrics, "study.artifacts_generated");
-        }
-        if (outcome.generation_warning) ++cell.generation.warnings;
-        if (outcome.generation_error) ++cell.generation.errors;
-        if (outcome.compilation_warning) ++cell.compilation.warnings;
-        if (outcome.compilation_error) ++cell.compilation.errors;
-        if (outcome.generation_error) obs::add(config.metrics, "study.generation_errors");
-        if (outcome.compilation_error) {
-          obs::add(config.metrics, "study.compilation_errors");
-        }
-        if (cell.samples.size() < config.samples_per_cell && !outcome.errors.empty()) {
-          cell.samples.push_back(outcome.errors.front());
-        }
-        {
-          // Count each distinct error code once per test.
-          std::vector<std::string_view> seen;
-          for (const Diagnostic& diagnostic : outcome.errors) {
-            if (std::find(seen.begin(), seen.end(), diagnostic.code) != seen.end()) continue;
-            seen.push_back(diagnostic.code);
-            ++cell.error_codes[diagnostic.code];
-          }
-        }
-        if (config.observer) {
-          TestRecord record;
-          record.server = result.server;
-          record.client = client.name();
-          record.service = service.spec.service_name();
-          record.type_name =
-              service.spec.type != nullptr ? service.spec.type->qualified_name() : "";
-          record.description_flagged = flagged[service_index];
-          record.generation_warning = outcome.generation_warning;
-          record.generation_error = outcome.generation_error;
-          record.compilation_warning = outcome.compilation_warning;
-          record.compilation_error = outcome.compilation_error;
-          const std::lock_guard<std::mutex> lock(observer_mutex);
-          config.observer(record);
-        }
-        if (outcome.any_error()) {
-          service_errored = true;
-          if (same_framework_pair(result.server, client.name())) {
-            ++partial.same_framework_failures;
-          }
-          if (same_platform_pair(result.server, client.name())) {
-            ++partial.same_platform_failures;
-          }
-        }
-        if (outcome.generation_error) {
-          if (flagged[service_index]) {
-            ++partial.generation_errors_on_flagged;
-          } else {
-            ++partial.generation_errors_on_compliant;
-          }
-        }
-      }
-      if (flagged[service_index] && service_errored) ++partial.flagged_with_downstream_error;
+    partial.server = empty_server_result(server, 0, clients);
+    for (std::size_t index = begin; index < end; ++index) {
+      fold_service(services[index],
+                   run_service(server, services[index], clients, client_compilers,
+                               slice_config),
+                   slice_config, partial.server, partial.totals);
     }
     return partial;
   };
 
   PoolStats pool_stats;
   const std::vector<Partial> partials =
-      parallel_slices(deployed.size(), config.threads, run_slice, &pool_stats);
+      parallel_slices(services.size(), config.threads, run_slice, &pool_stats,
+                      kBalancedGrain);
   if (config.metrics != nullptr) {
     config.metrics->gauge("study.pool.workers").set_max(
         static_cast<std::int64_t>(pool_stats.workers));
@@ -390,36 +402,15 @@ ServerResult run_server_campaign(
   }
 
   // Deterministic merge, in slice order.
-  result.cells.resize(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    result.cells[i].client = clients[i]->name();
-    result.cells[i].client_language = clients[i]->language();
-    result.cells[i].compiled = clients[i]->requires_compilation();
-  }
+  ServerResult result = empty_server_result(server, services.size(), clients);
   for (const Partial& partial : partials) {
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      CellResult& cell = result.cells[i];
-      const CellResult& part = partial.cells[i];
-      cell.tests += part.tests;
-      cell.generation += part.generation;
-      cell.compilation += part.compilation;
-      for (const Diagnostic& sample : part.samples) {
-        if (cell.samples.size() < config.samples_per_cell) cell.samples.push_back(sample);
-      }
-      for (const auto& [error_code, count] : part.error_codes) {
-        cell.error_codes[error_code] += count;
-      }
-    }
-    if (cross_totals != nullptr) {
-      cross_totals->same_framework_failures += partial.same_framework_failures;
-      cross_totals->same_platform_failures += partial.same_platform_failures;
-      cross_totals->flagged_services_with_downstream_error +=
-          partial.flagged_with_downstream_error;
-      cross_totals->generation_errors_on_flagged += partial.generation_errors_on_flagged;
-      cross_totals->generation_errors_on_compliant += partial.generation_errors_on_compliant;
-    }
+    merge_server(partial.server, config.samples_per_cell, result);
+    if (cross_totals != nullptr) merge_totals(partial.totals, *cross_totals);
   }
-  if (cross_totals != nullptr) cross_totals->flagged_services += result.description_warnings;
+  record_server_counters(result, config);
+  testing_span.annotate("deployed", result.services_deployed);
+  testing_span.annotate("refused", result.deployment_refusals);
+  testing_span.annotate("flagged", result.description_warnings);
 
   // One span per server×client cell, annotated with its Table III numbers.
   for (const CellResult& cell : result.cells) {

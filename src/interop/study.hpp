@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -174,7 +176,8 @@ struct StudyConfig {
   obs::Registry* metrics = nullptr;
 };
 
-/// Runs one server's campaign: deploy every service, run every client.
+/// Runs one server's campaign: every candidate service through the
+/// per-service chain (run_service), in ordered slices over the workers.
 /// `parent_span` nests the campaign's spans under the run's root span.
 ServerResult run_server_campaign(const frameworks::ServerFramework& server,
                                  const std::vector<frameworks::ServiceSpec>& services,
@@ -185,57 +188,76 @@ ServerResult run_server_campaign(const frameworks::ServerFramework& server,
 /// Runs the full study: both catalogs, all three servers, all 11 clients.
 StudyResult run_study(const StudyConfig& config = {});
 
-// --- Testing-phase primitives, exposed for the supervised runner ---------
+// --- Testing-phase primitives, shared with the supervised runner ---------
 //
-// The resilience supervisor re-drives the testing phase one service at a
-// time (so tasks can be checkpointed, retried and quarantined), then folds
-// the per-test outcomes through the same aggregation run_server_campaign
-// applies. These hooks are that shared vocabulary.
+// run_study and run_study_supervised run the same per-service chain
+// (run_service) and fold its outcome through the same aggregation
+// (fold_service), in candidate order.
+// The resilience supervisor runs the chain as one task per deployable
+// candidate, so tasks can be checkpointed, retried and quarantined.
 
-/// Outcome of one client tool against one deployed service.
-struct ClientTestOutcome {
+/// What step (a) and the WS-I check decided for one candidate service —
+/// the bits a supervised task record carries besides its client rows.
+struct ServiceFlags {
+  bool refused = false;          ///< the server refused the deployment
+  bool wsi_failure = false;      ///< the published WSDL fails WS-I
+  bool zero_operations = false;  ///< the published WSDL has no operations
+  bool gated = false;            ///< withdrawn by StudyConfig::wsi_deploy_gate
+
+  /// Description-step warning: failed WS-I or unusable.
+  bool flagged() const { return wsi_failure || zero_operations; }
+};
+
+/// The fold's view of one client test: exactly what a task record keeps.
+struct TestRow {
   bool generation_warning = false;
   bool generation_error = false;
   bool compilation_warning = false;
   bool compilation_error = false;
   bool artifacts_generated = false;
-  std::vector<Diagnostic> errors;  ///< error/crash diagnostics, tool order
-
-  bool any_error() const { return generation_error || compilation_error; }
+  std::vector<std::string> codes;  ///< distinct error codes, first-seen order
+  std::optional<Diagnostic> first;  ///< the first error (the only one sampled)
 };
 
-/// Steps (b)+(c) for one (service, client) pair: artifact generation, then
-/// compilation or the instantiation check. `description` is the campaign's
-/// shared parse (null = re-parse the served text, the --no-parse-cache
-/// path); `compiler` is null for dynamic clients.
-ClientTestOutcome run_client_test(const frameworks::DeployedService& service,
-                                  const frameworks::SharedDescription* description,
-                                  const frameworks::ClientFramework& client,
-                                  const compilers::Compiler* compiler,
-                                  obs::Registry* metrics);
+/// One candidate service through the whole chain.
+struct ServiceRun {
+  ServiceFlags flags;
+  std::vector<TestRow> rows;  ///< one per client; empty when refused or gated
+};
+
+/// The per-service chain of §III.B: deploy (step (a)), describe — the
+/// shared parse with its WS-I verdict, or the bare WS-I check when the
+/// parse cache is off — then, unless refused or gated, artifact generation
+/// (b) and compilation or the instantiation check (c) for every client in
+/// roster order. `after_test`, when set, runs after each client test (the
+/// supervisor charges its virtual clock there). The deployment and its
+/// description are freed on return.
+ServiceRun run_service(const frameworks::ServerFramework& server,
+                       const frameworks::ServiceSpec& spec,
+                       const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
+                       const std::vector<std::unique_ptr<compilers::Compiler>>& compilers,
+                       const StudyConfig& config,
+                       const std::function<void()>& after_test = {});
+
+/// Folds one candidate into its server's result and the study-wide
+/// totals: deployment/WS-I/gate counters, then one test per row into
+/// `server.cells` (pre-sized to the roster).
+void fold_service(const frameworks::ServiceSpec& spec, const ServiceRun& run,
+                  const StudyConfig& config, ServerResult& server, StudyResult& totals);
+
+/// An empty ServerResult for `server`: names, services_created, and one
+/// zeroed cell per client in roster order.
+ServerResult empty_server_result(const frameworks::ServerFramework& server,
+                                 std::size_t services_created,
+                                 const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients);
+
+/// Adds one server's deployment/description counters to `metrics` (the
+/// "study.services_*" family, refusals, flags, and the parse count).
+void record_server_counters(const ServerResult& server, const StudyConfig& config);
 
 /// The paper's same-framework / same-platform classification of a
 /// (server, client) name pair (§V).
 bool same_framework_pair(const std::string& server, const std::string& client);
 bool same_platform_pair(const std::string& server, const std::string& client);
-
-/// Everything run_server_campaign computes before the testing phase:
-/// deployment, the shared parse, WS-I verdicts, and (optionally) the
-/// deploy-time gate. `result` carries the deploy/WS-I counters with empty
-/// cells; `flagged[i]` pairs with `deployed[i]`; `descriptions` is empty
-/// when the parse cache is off.
-struct PreparedServer {
-  ServerResult result;
-  std::vector<frameworks::DeployedService> deployed;
-  std::vector<frameworks::SharedDescription> descriptions;
-  std::vector<bool> flagged;
-};
-
-/// Runs the deploy / parse / wsi-check / gate phases for one server.
-/// `parent_span` nests the phase spans (typically the server span).
-PreparedServer prepare_server_campaign(const frameworks::ServerFramework& server,
-                                       const std::vector<frameworks::ServiceSpec>& services,
-                                       const StudyConfig& config,
-                                       obs::SpanId parent_span = obs::kNoSpan);
 
 }  // namespace wsx::interop

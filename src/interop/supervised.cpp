@@ -119,43 +119,14 @@ std::pair<std::size_t, std::size_t> locate_task(const std::vector<std::size_t>& 
   return {server_index, task - first_task[server_index]};
 }
 
-/// One client cell's worth of fold input, normalised from either an
-/// in-memory ClientTestOutcome or a journal-record row, so the aggregation
-/// below has exactly one code path. The two sources are interchangeable:
-/// the record is a pure serialisation of the outcome and the round-trip is
-/// exact (the interrupt/resume equivalence tests pin the byte-identity).
-struct FoldRow {
-  bool gw = false;
-  bool ge = false;
-  bool cw = false;
-  bool ce = false;
-  bool art = false;
-  std::vector<std::string> codes;  ///< unique error codes, first-seen order
-  std::optional<Diagnostic> first;
-};
-
-FoldRow row_from_outcome(const ClientTestOutcome& outcome) {
-  FoldRow row;
-  row.gw = outcome.generation_warning;
-  row.ge = outcome.generation_error;
-  row.cw = outcome.compilation_warning;
-  row.ce = outcome.compilation_error;
-  row.art = outcome.artifacts_generated;
-  for (const Diagnostic& diagnostic : outcome.errors) {
-    if (std::find(row.codes.begin(), row.codes.end(), diagnostic.code) != row.codes.end()) {
-      continue;
-    }
-    row.codes.push_back(diagnostic.code);
-  }
-  if (!outcome.errors.empty()) row.first = outcome.errors.front();
-  return row;
-}
-
-bool row_from_json(const json::Value& value, FoldRow& row) {
+bool row_from_json(const json::Value& value, TestRow& row) {
   const json::Value* codes = value.find("codes");
-  if (!read_bool(value, "gw", row.gw) || !read_bool(value, "ge", row.ge) ||
-      !read_bool(value, "cw", row.cw) || !read_bool(value, "ce", row.ce) ||
-      !read_bool(value, "art", row.art) || codes == nullptr || !codes->is_array()) {
+  if (!read_bool(value, "gw", row.generation_warning) ||
+      !read_bool(value, "ge", row.generation_error) ||
+      !read_bool(value, "cw", row.compilation_warning) ||
+      !read_bool(value, "ce", row.compilation_error) ||
+      !read_bool(value, "art", row.artifacts_generated) || codes == nullptr ||
+      !codes->is_array()) {
     return false;
   }
   for (const json::Value& code : codes->items()) {
@@ -167,6 +138,60 @@ bool row_from_json(const json::Value& value, FoldRow& row) {
     Diagnostic sample;
     if (!diagnostic_from_json(*first, sample)) return false;
     row.first = std::move(sample);
+  }
+  return true;
+}
+
+std::string row_json(const TestRow& row) {
+  json::ObjectWriter out;
+  out.field("gw", row.generation_warning)
+      .field("ge", row.generation_error)
+      .field("cw", row.compilation_warning)
+      .field("ce", row.compilation_error)
+      .field("art", row.artifacts_generated);
+  json::ArrayWriter codes;
+  for (const std::string& code : row.codes) codes.item(code);
+  out.raw_field("codes", codes.str());
+  if (row.first.has_value()) out.raw_field("first", diagnostic_json(*row.first));
+  return out.str();
+}
+
+/// A study task record: the candidate's deployment/description bits, then
+/// one row per client (none when refused or gated).
+std::string study_record(const ServiceRun& run) {
+  json::ArrayWriter items;
+  for (const TestRow& row : run.rows) items.raw_item(row_json(row));
+  return json::ObjectWriter{}
+      .field("refused", run.flags.refused)
+      .field("wsi_failure", run.flags.wsi_failure)
+      .field("zero_operations", run.flags.zero_operations)
+      .field("gated", run.flags.gated)
+      .raw_field("clients", items.str())
+      .str();
+}
+
+/// Decodes a study task record. A record without the deployment/flag bits
+/// was written when tasks began after deployment; folding it would lose
+/// the refusal and WS-I counts, so it is rejected instead.
+Result<bool> study_record_from_json(const std::string& id, const std::string& text,
+                                    ServiceRun& run) {
+  Result<json::Value> record = json::parse(text);
+  if (!record.ok()) return record.error();
+  if (!read_bool(*record, "refused", run.flags.refused) ||
+      !read_bool(*record, "wsi_failure", run.flags.wsi_failure) ||
+      !read_bool(*record, "zero_operations", run.flags.zero_operations) ||
+      !read_bool(*record, "gated", run.flags.gated)) {
+    return bad_record(id, "missing the refused/wsi_failure/zero_operations/gated bits "
+                          "(journal predates per-service tasks; rerun the campaign)");
+  }
+  const json::Value* items = record->find("clients");
+  if (items == nullptr || !items->is_array()) {
+    return bad_record(id, "client row count mismatch");
+  }
+  for (const json::Value& item : items->items()) {
+    TestRow row;
+    if (!row_from_json(item, row)) return bad_record(id, "malformed client row");
+    run.rows.push_back(std::move(row));
   }
   return true;
 }
@@ -290,189 +315,90 @@ Result<SupervisedStudyResult> run_study_supervised(const StudyConfig& config,
   prepare_span.end();
   prepare_timer.stop();
 
-  // Deploy/parse/wsi/gate every server up front; only the testing phase —
-  // the expensive, per-service part — runs under supervision.
-  std::vector<PreparedServer> prepared;
+  // Plan: one task per candidate the server can bind. Candidates it cannot
+  // are refusals without running anything; the task itself deploys,
+  // describes, checks WS-I and runs every client (run_service), so a task
+  // that deploy still refuses records that in its flags.
+  std::vector<std::vector<const frameworks::ServiceSpec*>> planned(servers.size());
   std::vector<std::size_t> first_task;
   resilience::CampaignTasks tasks;
   tasks.campaign = "study";
   tasks.config_json = study_config_json(config);
-  for (const auto& server : servers) {
-    obs::Span server_span(config.tracer, "server:" + server->name(), run_span);
+  for (std::size_t s = 0; s < servers.size(); ++s) {
+    const frameworks::ServerFramework& server = *servers[s];
     const std::vector<frameworks::ServiceSpec>& services =
-        server->language() == "C#" ? dotnet_services : java_services;
-    prepared.push_back(prepare_server_campaign(*server, services, config, server_span.id()));
+        server.language() == "C#" ? dotnet_services : java_services;
+    result.servers.push_back(empty_server_result(server, services.size(), clients));
     first_task.push_back(tasks.ids.size());
-    for (const frameworks::DeployedService& service : prepared.back().deployed) {
-      tasks.ids.push_back(server->name() + "|" + service.spec.service_name());
+    for (const frameworks::ServiceSpec& spec : services) {
+      if (!server.can_deploy(*spec.type)) {
+        ++result.servers.back().deployment_refusals;
+        continue;
+      }
+      planned[s].push_back(&spec);
+      tasks.ids.push_back(server.name() + "|" + spec.service_name());
     }
   }
 
   // Side channel for the fold: a task executed in this process parks its
-  // outcomes here (indices are distinct across workers, so no locking) and
-  // the record string — needed only for the journal — is built solely when
-  // a checkpoint file is in play. Resumed tasks have no slot and fold from
-  // their journal record instead; FoldRow makes the two paths identical.
-  struct TaskRows {
+  // run here (indices are distinct across workers, so no locking) and the
+  // record string — needed only for the journal — is built solely when a
+  // checkpoint file is in play. Resumed tasks have no slot and fold from
+  // their journal record instead; the round-trip is exact.
+  struct TaskRun {
     bool executed = false;
-    std::vector<ClientTestOutcome> outcomes;
+    ServiceRun run;
   };
-  std::vector<TaskRows> side(tasks.ids.size());
+  std::vector<TaskRun> side(tasks.ids.size());
   const bool journaling = !options.checkpoint_path.empty();
 
-  // The task function: steps (b)+(c) for one service against all clients.
   // Pure in the task index — the determinism contract supervise() needs.
   tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
     const auto [server_index, service_index] = locate_task(first_task, index);
-    const PreparedServer& server = prepared[server_index];
-    const frameworks::DeployedService& service = server.deployed[service_index];
-    const frameworks::SharedDescription* description =
-        config.parse_cache ? &server.descriptions[service_index] : nullptr;
-    TaskRows& data = side[index];
-    data.executed = false;
-    data.outcomes.clear();  // a deadline retry re-runs the task from scratch
-    data.outcomes.reserve(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      ClientTestOutcome outcome = run_client_test(
-          service, description, *clients[i], client_compilers[i].get(), config.metrics);
-      data.outcomes.push_back(std::move(outcome));
-      context.charge(1);  // cost model: one virtual ms per client test
-    }
+    TaskRun& data = side[index];
+    data.executed = false;  // a deadline retry re-runs the task from scratch
+    data.run = run_service(*servers[server_index], *planned[server_index][service_index],
+                           clients, client_compilers, config,
+                           // cost model: one virtual ms per client test
+                           [&context] { context.charge(1); });
     data.executed = true;
-    if (!journaling) return std::string{};
-    json::ArrayWriter rows;
-    for (const ClientTestOutcome& outcome : data.outcomes) {
-      json::ObjectWriter row;
-      row.field("gw", outcome.generation_warning)
-          .field("ge", outcome.generation_error)
-          .field("cw", outcome.compilation_warning)
-          .field("ce", outcome.compilation_error)
-          .field("art", outcome.artifacts_generated);
-      json::ArrayWriter codes;
-      std::vector<std::string_view> seen;
-      for (const Diagnostic& diagnostic : outcome.errors) {
-        if (std::find(seen.begin(), seen.end(), diagnostic.code) != seen.end()) continue;
-        seen.push_back(diagnostic.code);
-        codes.item(diagnostic.code);
-      }
-      row.raw_field("codes", codes.str());
-      if (!outcome.errors.empty()) {
-        row.raw_field("first", diagnostic_json(outcome.errors.front()));
-      }
-      rows.raw_item(row.str());
-    }
-    return json::ObjectWriter{}.raw_field("clients", rows.str()).str();
+    return journaling ? study_record(data.run) : std::string{};
   };
 
   obs::Span testing_span(config.tracer, "phase:testing", run_span);
   obs::ScopedTimer testing_timer = obs::timer(config.metrics, "study.phase.testing_us");
   Result<resilience::SupervisorReport> supervised =
       resilience::supervise(tasks, to_supervisor_options(options, config.metrics));
-  testing_span.end();
-  testing_timer.stop();
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
-  // Fold, in task order, through the same aggregation run_server_campaign
+  // Fold, in task order, through the aggregation run_server_campaign
   // applies. Resumed records fold exactly like freshly executed ones, so
   // the StudyResult — and every report rendered from it — is byte-identical
   // across interrupt/resume splits and worker counts.
-  for (std::size_t server_index = 0; server_index < servers.size(); ++server_index) {
-    ServerResult server_result = std::move(prepared[server_index].result);
-    server_result.cells.resize(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      server_result.cells[i].client = clients[i]->name();
-      server_result.cells[i].client_language = clients[i]->language();
-      server_result.cells[i].compiled = clients[i]->requires_compilation();
-    }
-    result.flagged_services += server_result.description_warnings;
-    result.servers.push_back(std::move(server_result));
-  }
   for (const resilience::TaskOutcome& task : out.supervisor.tasks) {
     if (task.state != resilience::TaskState::kCompleted) continue;
     const auto [server_index, service_index] = locate_task(first_task, task.task);
-    std::vector<FoldRow> rows;
-    rows.reserve(clients.size());
-    const TaskRows& data = side[task.task];
-    if (data.executed) {
-      for (const ClientTestOutcome& outcome : data.outcomes) {
-        rows.push_back(row_from_outcome(outcome));
-      }
-    } else {
-      Result<json::Value> record = json::parse(task.record);
-      if (!record.ok()) return record.error();
-      const json::Value* items = record->find("clients");
-      if (items == nullptr || !items->is_array()) {
-        return bad_record(task.id, "client row count mismatch");
-      }
-      for (const json::Value& item : items->items()) {
-        FoldRow row;
-        if (!row_from_json(item, row)) return bad_record(task.id, "malformed client row");
-        rows.push_back(std::move(row));
-      }
+    ServiceRun& run = side[task.task].run;
+    if (!side[task.task].executed) {
+      Result<bool> decoded = study_record_from_json(task.id, task.record, run);
+      if (!decoded.ok()) return decoded.error();
     }
-    if (rows.size() != clients.size()) {
-      return bad_record(task.id, "client row count mismatch");
-    }
-    ServerResult& server_result = result.servers[server_index];
-    const bool is_flagged = prepared[server_index].flagged[service_index];
-    const frameworks::DeployedService& service =
-        prepared[server_index].deployed[service_index];
-    bool service_errored = false;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      const FoldRow& row = rows[i];
-      const bool gw = row.gw;
-      const bool ge = row.ge;
-      const bool cw = row.cw;
-      const bool ce = row.ce;
-      const bool art = row.art;
-      CellResult& cell = server_result.cells[i];
-      ++cell.tests;
-      obs::add(config.metrics, "study.tests_total");
-      if (art) obs::add(config.metrics, "study.artifacts_generated");
-      if (gw) ++cell.generation.warnings;
-      if (ge) ++cell.generation.errors;
-      if (cw) ++cell.compilation.warnings;
-      if (ce) ++cell.compilation.errors;
-      if (ge) obs::add(config.metrics, "study.generation_errors");
-      if (ce) obs::add(config.metrics, "study.compilation_errors");
-      if (row.first.has_value() && cell.samples.size() < config.samples_per_cell) {
-        cell.samples.push_back(*row.first);
-      }
-      for (const std::string& code : row.codes) ++cell.error_codes[code];
-      if (config.observer) {
-        TestRecord record_line;
-        record_line.server = server_result.server;
-        record_line.client = clients[i]->name();
-        record_line.service = service.spec.service_name();
-        record_line.type_name =
-            service.spec.type != nullptr ? service.spec.type->qualified_name() : "";
-        record_line.description_flagged = is_flagged;
-        record_line.generation_warning = gw;
-        record_line.generation_error = ge;
-        record_line.compilation_warning = cw;
-        record_line.compilation_error = ce;
-        config.observer(record_line);
-      }
-      if (ge || ce) {
-        service_errored = true;
-        if (same_framework_pair(server_result.server, clients[i]->name())) {
-          ++result.same_framework_failures;
-        }
-        if (same_platform_pair(server_result.server, clients[i]->name())) {
-          ++result.same_platform_failures;
-        }
-      }
-      if (ge) {
-        if (is_flagged) {
-          ++result.generation_errors_on_flagged;
-        } else {
-          ++result.generation_errors_on_compliant;
-        }
-      }
-    }
-    if (is_flagged && service_errored) ++result.flagged_services_with_downstream_error;
+    const std::size_t expected = run.flags.refused || run.flags.gated ? 0 : clients.size();
+    if (run.rows.size() != expected) return bad_record(task.id, "client row count mismatch");
+    fold_service(*planned[server_index][service_index], run, config,
+                 result.servers[server_index], result);
   }
+  std::size_t deployed = 0;
+  for (const ServerResult& server : result.servers) {
+    record_server_counters(server, config);
+    deployed += server.services_deployed;
+  }
+  testing_span.annotate("deployed", deployed);
+  testing_span.annotate("refused", result.total_deployment_refusals());
+  testing_span.annotate("flagged", result.total_description_warnings());
+  testing_span.end();
+  testing_timer.stop();
   return out;
 }
 

@@ -59,6 +59,13 @@ Result<Oracle> Oracle::load(const OracleOptions& options) {
   oracle.report_ = std::move(result->report);
   oracle.precompute_ = std::move(result->supervisor);
   oracle.index_ = predict::build_index(oracle.report_);
+  // try_emplace keeps the first claimant, which is what a corpus-order
+  // scan matching either key would return.
+  for (std::size_t i = 0; i < oracle.report_.services.size(); ++i) {
+    const predict::ServicePredictionRecord& record = oracle.report_.services[i];
+    oracle.service_index_.try_emplace(record.server + "/" + record.service, i);
+    oracle.service_index_.try_emplace(record.service, i);
+  }
 
   // FNV-1a over the canonical record JSON, corpus order. Identical between
   // a cold recompute and a journal-resumed warm start, or something broke.
@@ -77,12 +84,8 @@ Result<Oracle> Oracle::load(const OracleOptions& options) {
 }
 
 const predict::ServicePredictionRecord* Oracle::find_service(std::string_view service) const {
-  for (const predict::ServicePredictionRecord& record : report_.services) {
-    if (service == record.server + "/" + record.service || service == record.service) {
-      return &record;
-    }
-  }
-  return nullptr;
+  const auto found = service_index_.find(service);
+  return found == service_index_.end() ? nullptr : &report_.services[found->second];
 }
 
 const predict::ClientPrediction* Oracle::find_client(

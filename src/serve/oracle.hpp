@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "analysis/predict.hpp"
 #include "analysis/substitution.hpp"
@@ -35,6 +37,14 @@ struct OracleOptions {
 };
 
 class Oracle {
+  /// Transparent hash so string_view queries look up std::string keys.
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
  public:
   /// Builds the oracle: deploy pass, supervised verdict precompute
   /// (checkpointed to `cache_path`, resumed from `resume`), substitution
@@ -57,6 +67,12 @@ class Oracle {
   /// order — the byte-identity check between cold and warm caches.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
+  /// The record a query's service argument names: "Server/Service" or a
+  /// bare service name, the first corpus-order record either key matches;
+  /// null when none does. One hash lookup in an index built at load.
+  const analysis::predict::ServicePredictionRecord* find_service(
+      std::string_view service) const;
+
   // --- Query lookups. Errors use "serve.not-found". -----------------------
 
   /// Verdict body for one client×service pair: the predicted generation and
@@ -75,14 +91,15 @@ class Oracle {
  private:
   Oracle() = default;
 
-  const analysis::predict::ServicePredictionRecord* find_service(
-      std::string_view service) const;
   const analysis::predict::ClientPrediction* find_client(
       const analysis::predict::ServicePredictionRecord& record,
       std::string_view client) const;
 
   analysis::predict::PredictReport report_;
   analysis::predict::SubstitutionIndex index_;
+  /// Both keys of every record → its position in report_.services; the
+  /// first record to claim a key keeps it.
+  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>> service_index_;
   resilience::SupervisorReport precompute_;
   std::uint64_t fingerprint_ = 0;
 };

@@ -200,10 +200,13 @@ Result<bool> FrameReader::next(std::string& payload) {
   if (digits.empty() || digits.find_first_not_of("0123456789") != std::string_view::npos) {
     return fail("bad-frame", "frame length is not a decimal number");
   }
+  // The cap is checked after every digit, so the length never exceeds
+  // 10 * kMaxFrameBytes + 9 and cannot overflow.
+  constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;
   std::size_t length = 0;
   for (const char c : digits) {
-    if (length > (1u << 26)) return fail("bad-frame", "frame length too large");
     length = length * 10 + static_cast<std::size_t>(c - '0');
+    if (length > kMaxFrameBytes) return fail("bad-frame", "frame length too large");
   }
   // Complete frame = header line + payload + trailing '\n'.
   if (rest.size() < newline + 1 + length + 1) return false;
